@@ -7,8 +7,10 @@
 //!   fire them, signal dependents' sync slots, and push newly-enabled
 //!   codelets. No barriers; termination is detected by a completion count.
 //! * [`Runtime::run_phased`] — **coarse-grain** execution: codelets are
-//!   organized in phases (the FFT's stages); workers self-schedule within a
-//!   phase and wait on a barrier between phases.
+//!   organized in phases (the FFT's stages); each phase is one wave of
+//!   chunks on work-stealing deques, closed by a countdown barrier. This is
+//!   the workspace's one barrier executor: the coarse versions and the
+//!   threaded backend's stage-phased schedule both run on it.
 //!
 //! Shared-counter groups ([`crate::counter::SharedCounters`]) are used
 //! automatically when the program declares them.
@@ -35,9 +37,9 @@ use crate::graph::{CodeletId, CodeletProgram};
 use crate::pool::{PoolDiscipline, ReadyPool};
 use crate::stats::RunStats;
 use fgsupport::backoff::Backoff;
+use fgsupport::deque::{Steal, StealOrder, Stealer, Worker};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 /// Runtime configuration.
@@ -67,9 +69,10 @@ impl RuntimeConfig {
     }
 }
 
-/// A reusable codelet runtime. Threads are spawned per `run` call via scoped
-/// threads: the runtime itself is just configuration, so it is cheap to
-/// construct and freely shareable.
+/// A reusable codelet runtime. Each run spawns its own scoped worker
+/// threads for that call alone (a phased run counts the calling thread as
+/// one of its workers, so on one worker it spawns none): the runtime itself
+/// is just configuration, so it is cheap to construct and freely shareable.
 #[derive(Debug, Clone, Default)]
 pub struct Runtime {
     config: RuntimeConfig,
@@ -245,89 +248,191 @@ impl Runtime {
     }
 
     /// Coarse-grain (barrier) execution: fire every codelet of `phases[0]`,
-    /// wait for all workers, then `phases[1]`, etc. Codelets within a phase
+    /// wait for all of them, then `phases[1]`, etc. Codelets within a phase
     /// must be mutually independent; dependencies may only point from phase
     /// `i` to phases `> i`. Dependence counters are not consulted.
+    ///
+    /// # The wave protocol
+    ///
+    /// With one worker the phases run in order on the calling thread, with
+    /// no thread spawned. Otherwise the calling thread is worker 0 and
+    /// coordinates `workers() - 1` scoped pool threads, one *wave* per
+    /// phase. It splits the phase into about four contiguous chunks per
+    /// worker (coarse enough to amortize deque traffic, fine enough that a
+    /// straggler's tail gets stolen), stores the wave's chunk count in a
+    /// countdown with `Release`, deals the chunks round-robin into
+    /// per-worker deques ([`fgsupport::deque`]), and then works the wave
+    /// itself until an `Acquire` read of the countdown sees zero. Workers
+    /// pop their own deque LIFO and otherwise steal FIFO, starting the
+    /// victim scan at a [`StealOrder`]-randomized peer so no deque is
+    /// systematically drained last; every finished chunk ends with a
+    /// `fetch_sub(1, AcqRel)`. The release sequence on that counter makes
+    /// every body of a wave happen-before the coordinator's zero read,
+    /// and the next wave's chunks are published through the deque locks:
+    /// that is the cross-phase happens-before edge the phases' data
+    /// dependencies need.
+    ///
+    /// # Panics
+    ///
+    /// A panicking body is caught per chunk and poisons the run: the wave
+    /// still drains (poisoned chunks skip their bodies but always
+    /// decrement, so the barrier cannot deadlock), later phases are not
+    /// dealt, and the first payload is re-raised on this thread after the
+    /// worker scope joins (see the module docs' *Panic semantics*). With
+    /// one worker the panic simply unwinds out of the inline loop.
     pub fn run_phased(
         &self,
         phases: &[Vec<CodeletId>],
         body: impl Fn(CodeletId) + Sync,
     ) -> RunStats {
         let n_workers = self.config.workers;
-        let fired = (0..n_workers)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>();
-        let barrier = Barrier::new(n_workers);
-        let poisoned = AtomicBool::new(false);
-        // One shared cursor per phase, allocated up front so workers never
-        // race on phase setup.
-        let cursors: Vec<AtomicUsize> = phases.iter().map(|_| AtomicUsize::new(0)).collect();
-
         let start = Instant::now();
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let barrier = &barrier;
-                    let poisoned = &poisoned;
-                    let cursors = &cursors;
-                    let fired = &fired;
-                    let body = &body;
-                    scope.spawn(move || {
-                        let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
-                        for (phase, cursor) in phases.iter().zip(cursors) {
-                            while !poisoned.load(Ordering::Acquire) {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= phase.len() {
-                                    break;
-                                }
-                                match std::panic::catch_unwind(AssertUnwindSafe(|| body(phase[i])))
-                                {
-                                    Ok(()) => {
-                                        fired[w].fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(p) => {
-                                        // Keep attending barriers so peers
-                                        // cannot block forever; re-raise
-                                        // after the scope joins.
-                                        poisoned.store(true, Ordering::Release);
-                                        payload.get_or_insert(p);
-                                        break;
-                                    }
-                                }
-                            }
-                            barrier.wait();
+        if n_workers == 1 {
+            // The degenerate wave order, without deques or a scope.
+            for &id in phases.iter().flatten() {
+                body(id);
+            }
+            let fired = phases.iter().map(Vec::len).sum::<usize>() as u64;
+            return RunStats {
+                fired_per_worker: vec![fired],
+                empty_pops_per_worker: vec![0],
+                elapsed: start.elapsed(),
+                total_fired: fired,
+                barriers: phases.len() as u64,
+            };
+        }
+        let deques: Vec<Worker<Chunk>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
+        let stealers: Vec<Stealer<Chunk>> = deques.iter().map(Worker::stealer).collect();
+        let steal_order = StealOrder::new();
+        let remaining = AtomicUsize::new(0);
+        // Plain stop flags: they publish no data (a panic payload travels
+        // back through its worker's tally), so their Release/Acquire pairs
+        // only order the flag itself.
+        let done = AtomicBool::new(false);
+        let poisoned = AtomicBool::new(false);
+
+        // Worker `me` runs chunks, its own or stolen, until `stop()`.
+        let work = |me: usize, tally: &mut Tally, stop: &dyn Fn() -> bool| {
+            let backoff = Backoff::new();
+            while !stop() {
+                let Some(chunk) = deques[me]
+                    .pop()
+                    .or_else(|| steal(&stealers, me, &steal_order))
+                else {
+                    tally.empty += 1;
+                    backoff.snooze();
+                    continue;
+                };
+                backoff.reset();
+                if !poisoned.load(Ordering::Acquire) {
+                    let ids = &phases[chunk.phase][chunk.first..chunk.first + chunk.len];
+                    match std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        ids.iter().for_each(|&id| body(id))
+                    })) {
+                        Ok(()) => tally.fired += chunk.len as u64,
+                        Err(p) => {
+                            poisoned.store(true, Ordering::Release);
+                            tally.payload.get_or_insert(p);
                         }
-                        payload
+                    }
+                }
+                // Always decrement: a poisoned wave must still drain or the
+                // coordinator would wait forever.
+                remaining.fetch_sub(1, Ordering::AcqRel);
+            }
+        };
+
+        let mut tallies = Vec::with_capacity(n_workers);
+        std::thread::scope(|scope| {
+            let work = &work;
+            let stop = || done.load(Ordering::Acquire);
+            let handles: Vec<_> = (1..n_workers)
+                .map(|me| {
+                    scope.spawn(move || {
+                        let mut tally = Tally::default();
+                        work(me, &mut tally, &stop);
+                        tally
                     })
                 })
                 .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(None) => {}
-                    Ok(Some(p)) => {
-                        panic_payload.get_or_insert(p);
-                    }
-                    Err(p) => {
-                        panic_payload.get_or_insert(p);
-                    }
+            let mut mine = Tally::default();
+            let wave_done = || remaining.load(Ordering::Acquire) == 0;
+            for (p, phase) in phases.iter().enumerate() {
+                if poisoned.load(Ordering::Acquire) {
+                    break;
                 }
+                let len = (phase.len() / (n_workers * CHUNKS_PER_WORKER)).max(1);
+                let chunks = phase.len().div_ceil(len);
+                // Publish the countdown before dealing, or an early
+                // decrement could be overwritten and the wave never end.
+                remaining.store(chunks, Ordering::Release);
+                for c in 0..chunks {
+                    let first = c * len;
+                    deques[c % n_workers].push(Chunk {
+                        phase: p,
+                        first,
+                        len: len.min(phase.len() - first),
+                    });
+                }
+                work(0, &mut mine, &wave_done);
+            }
+            done.store(true, Ordering::Release);
+            tallies.push(mine);
+            for h in handles {
+                tallies.push(h.join().unwrap_or_else(|p| Tally {
+                    payload: Some(p),
+                    ..Tally::default()
+                }));
             }
         });
-        if let Some(payload) = panic_payload {
+        if let Some(payload) = tallies.iter_mut().find_map(|t| t.payload.take()) {
             std::panic::resume_unwind(payload);
         }
-        let elapsed = start.elapsed();
-
-        let fired_per_worker: Vec<u64> = fired.iter().map(|f| f.load(Ordering::Relaxed)).collect();
+        let fired_per_worker: Vec<u64> = tallies.iter().map(|t| t.fired).collect();
         RunStats {
             total_fired: fired_per_worker.iter().sum(),
             fired_per_worker,
-            empty_pops_per_worker: vec![0; n_workers],
-            elapsed,
+            empty_pops_per_worker: tallies.iter().map(|t| t.empty).collect(),
+            elapsed: start.elapsed(),
             barriers: phases.len() as u64,
         }
     }
+}
+
+/// One worker's share of a [`Runtime::run_phased`] run.
+#[derive(Default)]
+struct Tally {
+    fired: u64,
+    empty: u64,
+    /// The first panic payload this worker caught.
+    payload: Option<Box<dyn std::any::Any + Send>>,
+}
+
+/// Chunks dealt per worker per phase by [`Runtime::run_phased`].
+const CHUNKS_PER_WORKER: usize = 4;
+
+/// A contiguous run of one phase's codelet list: `phases[phase][first..first + len]`.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    phase: usize,
+    first: usize,
+    len: usize,
+}
+
+/// One steal scan over every peer of `me`, starting at a randomized victim.
+fn steal<T>(stealers: &[Stealer<T>], me: usize, order: &StealOrder) -> Option<T> {
+    let n = stealers.len();
+    let from = order.start(n);
+    for victim in (0..n).map(|off| (from + off) % n).filter(|&v| v != me) {
+        loop {
+            match stealers[victim].steal() {
+                Steal::Success(chunk) => return Some(chunk),
+                Steal::Empty => break,
+                Steal::Retry => {}
+            }
+        }
+    }
+    None
 }
 
 /// The fine-grain worker loop: pop, fire, signal, push. Returns the panic
@@ -620,6 +725,53 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "panic must propagate");
+    }
+
+    #[test]
+    fn phased_single_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        let rt = Runtime::with_workers(1);
+        let stats = rt.run_phased(&[vec![0, 1, 2], vec![3, 4]], |id| {
+            seen.lock().push((id, std::thread::current().id()));
+        });
+        assert_eq!(stats.total_fired, 5);
+        assert_eq!(stats.barriers, 2);
+        let seen = seen.into_inner();
+        assert_eq!(
+            seen.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        assert!(seen.iter().all(|&(_, thread)| thread == caller));
+    }
+
+    /// A panicking body must poison the wave, not deadlock the countdown;
+    /// later phases are never dealt, and the payload resurfaces on the
+    /// caller's thread.
+    #[test]
+    fn poisoned_wave_propagates_the_panic() {
+        let phases: Vec<Vec<usize>> = (0..4).map(|s| (s * 64..(s + 1) * 64).collect()).collect();
+        for workers in [1, 3] {
+            let late = AtomicU32::new(0);
+            let rt = Runtime::with_workers(workers);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rt.run_phased(&phases, |id| {
+                    if id == 70 {
+                        panic!("boom");
+                    }
+                    if id >= 128 {
+                        late.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom"),
+                "workers={workers}"
+            );
+            assert_eq!(late.load(Ordering::Relaxed), 0, "workers={workers}");
+        }
     }
 
     #[test]

@@ -16,9 +16,14 @@
 //!   register-fused passes over each codelet's local buffer; the SIMD
 //!   module's source documents why the FG40x-verified table shape is the
 //!   aliasing precondition for the vector loads.
-//! * [`Threaded`] — a work-stealing codelet pool on [`fgsupport::deque`]
-//!   that executes the certified DAG stage-by-stage (each stage split into
-//!   per-worker chunks), wrapping any serial backend's kernel.
+//! * [`Threaded`] — a schedule choice rather than an engine: the plan's
+//!   stage phases (one barrier per stage, a topological strengthening of
+//!   every certified schedule) on the shared barrier executor,
+//!   [`codelet::Runtime::run_phased`], wrapping any serial backend's
+//!   kernel.
+//!
+//! No backend owns threads: every [`PreparedPlan`] runs through the plan's
+//! single schedule dispatch on the caller's [`Runtime`].
 //!
 //! The split keeps the certificate story intact: a backend never builds
 //! tables of its own, it only consumes the plan's — so a certificate over
@@ -40,7 +45,7 @@ pub use threaded::Threaded;
 use crate::complex::Complex64;
 use crate::exec::shared::SharedData;
 use crate::exec::ExecStats;
-use crate::planner::Plan;
+use crate::planner::{Dispatch, Plan};
 use codelet::runtime::Runtime;
 use std::sync::Arc;
 
@@ -118,18 +123,16 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 enum ExecMode {
     /// The historical scalar path, monomorphized inside `Plan` itself.
     Scalar,
-    /// Schedule-driven dispatch with an alternate butterfly kernel.
-    Kernel(Arc<dyn CodeletKernel>),
-    /// Stage-by-stage waves over a work-stealing chunk pool.
-    Threaded(Arc<dyn CodeletKernel>),
+    /// An alternate butterfly kernel over the plan's own schedule
+    /// ([`Dispatch::Planned`]) or its stage phases ([`Dispatch::Staged`]).
+    Kernel(Arc<dyn CodeletKernel>, Dispatch),
 }
 
 impl std::fmt::Debug for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecMode::Scalar => write!(f, "Scalar"),
-            ExecMode::Kernel(k) => write!(f, "Kernel({})", k.label()),
-            ExecMode::Threaded(k) => write!(f, "Threaded({})", k.label()),
+            ExecMode::Kernel(k, dispatch) => write!(f, "Kernel({}, {dispatch:?})", k.label()),
         }
     }
 }
@@ -163,7 +166,7 @@ impl PreparedPlan {
     pub(crate) fn serial_kernel(&self) -> Arc<dyn CodeletKernel> {
         match &self.mode {
             ExecMode::Scalar => Arc::new(ScalarKernel),
-            ExecMode::Kernel(k) | ExecMode::Threaded(k) => Arc::clone(k),
+            ExecMode::Kernel(k, _) => Arc::clone(k),
         }
     }
 
@@ -172,19 +175,7 @@ impl PreparedPlan {
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
         match &self.mode {
             ExecMode::Scalar => self.plan.execute(data, runtime),
-            ExecMode::Kernel(k) => self.plan.execute_with(&**k, data, runtime),
-            ExecMode::Threaded(k) => {
-                if self.plan.kind().is_c2c() {
-                    threaded::execute_batch_threaded(&self.plan, &**k, &mut [data], runtime)
-                } else {
-                    // Composite kinds (real, 2-D) orchestrate their
-                    // pack/untangle/transpose stages inside `Plan`; the
-                    // threaded wave driver only understands the flat C2C
-                    // stage schedule, so run the composite through the plan
-                    // with this backend's kernel — same bits, same tables.
-                    self.plan.execute_with(&**k, data, runtime)
-                }
-            }
+            ExecMode::Kernel(k, dispatch) => self.plan.execute_with(&**k, *dispatch, data, runtime),
         }
     }
 
@@ -193,16 +184,9 @@ impl PreparedPlan {
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
         match &self.mode {
             ExecMode::Scalar => self.plan.execute_batch(buffers, runtime),
-            ExecMode::Kernel(k) => self.plan.execute_batch_with(&**k, buffers, runtime),
-            ExecMode::Threaded(k) => {
-                if self.plan.kind().is_c2c() {
-                    threaded::execute_batch_threaded(&self.plan, &**k, buffers, runtime)
-                } else {
-                    // See `execute`: composite kinds run through the plan's
-                    // own orchestration with this backend's kernel.
-                    self.plan.execute_batch_with(&**k, buffers, runtime)
-                }
-            }
+            ExecMode::Kernel(k, dispatch) => self
+                .plan
+                .execute_batch_with(&**k, *dispatch, buffers, runtime),
         }
     }
 
@@ -297,13 +281,15 @@ impl BackendSel {
     /// Parse a selection: an engine name (`scalar`, `simd`,
     /// `threaded-scalar`, `threaded-simd`, or `threaded` as an alias for
     /// `threaded-simd`) with an optional `-r4`/`-r8` fusion-radix suffix
-    /// on the SIMD kinds (default radix-8).
+    /// on the SIMD kinds (default radix-8). A suffix on a scalar kind is
+    /// rejected, so `parse(&sel.to_string()) == Some(sel)` for every
+    /// selection.
     pub fn parse(s: &str) -> Option<Self> {
         let (base, radix) = match s.strip_suffix("-r4") {
-            Some(b) => (b, 2),
+            Some(b) => (b, Some(2)),
             None => match s.strip_suffix("-r8") {
-                Some(b) => (b, 3),
-                None => (s, 3),
+                Some(b) => (b, Some(3)),
+                None => (s, None),
             },
         };
         let kind = match base {
@@ -313,9 +299,13 @@ impl BackendSel {
             "threaded-simd" | "threaded" => BackendKind::ThreadedSimd,
             _ => return None,
         };
+        let scalar = matches!(kind, BackendKind::Scalar | BackendKind::ThreadedScalar);
+        if scalar && radix.is_some() {
+            return None;
+        }
         Some(Self {
             kind,
-            simd_radix_log2: radix,
+            simd_radix_log2: radix.unwrap_or(3),
         })
     }
 
@@ -362,10 +352,7 @@ mod tests {
             BackendSel::THREADED_SIMD,
         ] {
             let shown = sel.to_string();
-            let parsed = BackendSel::parse(&shown).unwrap();
-            // Scalar kinds drop the radix on display; normalize before
-            // comparing.
-            assert_eq!(parsed.kind, sel.kind, "{shown}");
+            assert_eq!(BackendSel::parse(&shown), Some(sel), "{shown}");
             assert_eq!(BackendSel::kind_from_str(sel.kind_str()), Some(sel.kind));
         }
         assert_eq!(
@@ -377,6 +364,15 @@ mod tests {
             Some(2)
         );
         assert_eq!(BackendSel::parse("gpu"), None);
+        // The fusion suffix belongs to the SIMD kinds only.
+        for bad in [
+            "scalar-r4",
+            "scalar-r8",
+            "threaded-scalar-r4",
+            "threaded-scalar-r8",
+        ] {
+            assert_eq!(BackendSel::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use super::{Backend, Capabilities, CodeletKernel, ExecMode, PreparedPlan};
 use crate::complex::Complex64;
 use crate::exec::shared::{execute_codelet_tabled, SharedData};
 use crate::plan::MAX_RADIX_LOG2;
-use crate::planner::Plan;
+use crate::planner::{Dispatch, Plan};
 use std::sync::Arc;
 
 /// Two packed complex doubles (four f64 lanes): the vector register
@@ -484,14 +484,15 @@ impl Backend for HostSimd {
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
         let mode = if plan.fft_plan().radix_log2() >= 2 && tables_are_canonical(plan) {
-            ExecMode::Kernel(Arc::new(SimdKernel {
+            let kernel = SimdKernel {
                 fuse_log2: self.fuse_log2,
                 use_avx2: self.avx2_selected(),
-            }))
+            };
+            ExecMode::Kernel(Arc::new(kernel), Dispatch::Planned)
         } else {
             // Non-canonical tables or radix-2 codelets: the scalar path is
             // the correct degradation (same bits, no pattern assumption).
-            ExecMode::Kernel(Arc::new(ScalarKernel))
+            ExecMode::Kernel(Arc::new(ScalarKernel), Dispatch::Planned)
         };
         PreparedPlan::new(plan, mode, self)
     }

@@ -1,59 +1,22 @@
-//! Work-stealing threaded backend: the certified codelet DAG executed
-//! stage-by-stage over a chunk pool on [`fgsupport::deque`].
-//!
-//! # Protocol
-//!
-//! Per batch: one coordinator (the calling thread) and `runtime.workers()`
-//! pool workers inside a [`std::thread::scope`]. For every stage — a
-//! *wave* covering that stage's codelets across all buffers of the batch —
-//! the coordinator splits each buffer's contiguous codelet range into
-//! cache-friendly chunks (winterfell-style split points: ~4 chunks per
-//! worker so stragglers can be stolen), publishes the wave's chunk count
-//! to a `remaining` counter, deals the chunks round-robin into the
-//! workers' deques, and spins (with backoff) until `remaining` reaches
-//! zero. That zero is the stage barrier.
-//!
-//! Workers pop their own deque LIFO and otherwise steal FIFO from a peer,
-//! scanning from a [`StealOrder`]-randomized start victim so no deque is
-//! systematically drained last. Each executed chunk ends with a
-//! release-decrement of `remaining`; the coordinator's acquire-read of
-//! zero therefore happens-after every codelet of the wave, and the next
-//! wave's chunks are published through the deque locks — the cross-stage
-//! ownership handoff the dataflow discipline of [`crate::exec::shared`]
-//! requires.
+//! The threaded backend: a schedule choice, not an executor. It runs the
+//! plan's stage phases — stage `s` is codelet ids `s·cps..(s+1)·cps` of
+//! every buffer of the batch, `cps` the codelets per stage — through the
+//! plan's own dispatch ([`Dispatch::Staged`]) on the shared barrier
+//! executor, [`codelet::Runtime::run_phased`], with any serial backend's
+//! kernel.
 //!
 //! Running stage-by-stage is a topological strengthening of every
 //! certified schedule (coarse, fine, or guided), so the arithmetic — and
 //! with it the output bits — is identical to the serial path for all five
-//! paper versions. A panicking codelet poisons the pool: the wave still
-//! drains (panics are caught per chunk, the decrement always happens, so
-//! the barrier cannot deadlock), later waves are skipped, and the payload
-//! is re-thrown on the caller's thread after the scope joins.
+//! paper versions and every transform kind. The wave protocol, its
+//! happens-before argument and its panic contract are documented on
+//! `run_phased`.
 
-use super::{Backend, Capabilities, CodeletKernel, ExecMode, PreparedPlan};
-use crate::complex::Complex64;
-use crate::exec::shared::SharedData;
-use crate::exec::ExecStats;
-use crate::planner::Plan;
-use codelet::runtime::Runtime;
-use fgsupport::backoff::Backoff;
-use fgsupport::deque::{Steal, StealOrder, Stealer, Worker};
-use fgsupport::sync::Mutex;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use super::{Backend, Capabilities, ExecMode, PreparedPlan};
+use crate::planner::{Dispatch, Plan};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// A contiguous run of one stage's codelets over one buffer of the batch.
-#[derive(Debug, Clone, Copy)]
-struct Chunk {
-    copy: u32,
-    stage: u32,
-    first: u32,
-    len: u32,
-}
-
-/// Work-stealing threaded backend wrapping any serial backend's kernel.
+/// Stage-phased threaded backend wrapping any serial backend's kernel.
 pub struct Threaded {
     inner: Arc<dyn Backend>,
 }
@@ -88,216 +51,21 @@ impl Backend for Threaded {
 
     fn prepare(&self, plan: &Arc<Plan>) -> PreparedPlan {
         let kernel = self.inner.prepare(plan).serial_kernel();
-        PreparedPlan::new(plan, ExecMode::Threaded(kernel), self)
+        PreparedPlan::new(plan, ExecMode::Kernel(kernel, Dispatch::Staged), self)
     }
-}
-
-/// Execute one chunk: the codelets `first..first+len` of `stage` over
-/// `copy`'s buffer.
-///
-/// # Safety
-/// The wave protocol guarantees this chunk's codelets are ready (all of
-/// the previous stage completed) and exclusively owned (FG404: one stage's
-/// gather runs partition the buffer, and no two chunks of a wave overlap).
-unsafe fn run_chunk<K: CodeletKernel + ?Sized>(
-    plan: &Plan,
-    kernel: &K,
-    views: &[SharedData<'_>],
-    chunk: Chunk,
-) {
-    let cps = plan.fft_plan().codelets_per_stage();
-    let view = &views[chunk.copy as usize];
-    for idx in chunk.first..chunk.first + chunk.len {
-        // SAFETY: per the function contract.
-        unsafe { plan.run_codelet_with(kernel, view, chunk.stage as usize * cps + idx as usize) };
-    }
-}
-
-/// Stage-by-stage threaded batch execution (see the module docs).
-pub(crate) fn execute_batch_threaded<K: CodeletKernel + ?Sized>(
-    plan: &Plan,
-    kernel: &K,
-    buffers: &mut [&mut [Complex64]],
-    runtime: &Runtime,
-) -> ExecStats {
-    let start = Instant::now();
-    let mut stats = ExecStats::default();
-    let copies = buffers.len();
-    if copies == 0 {
-        stats.elapsed = start.elapsed();
-        return stats;
-    }
-    let workers = runtime.workers().max(1);
-    for buf in buffers.iter_mut() {
-        assert_eq!(buf.len(), plan.n(), "buffer length must match the plan");
-        crate::bitrev::apply_swaps_parallel(buf, plan.bitrev_swaps(), workers);
-    }
-    let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
-    let fft = plan.fft_plan();
-    let stages = fft.stages();
-    let cps = fft.codelets_per_stage();
-
-    if workers == 1 {
-        // Degenerate pool: the wave order without threads.
-        for stage in 0..stages {
-            for copy in 0..copies {
-                // SAFETY: stage-by-stage, one codelet at a time — the
-                // strictest possible order under the dataflow discipline.
-                unsafe {
-                    run_chunk(
-                        plan,
-                        kernel,
-                        &views,
-                        Chunk {
-                            copy: copy as u32,
-                            stage: stage as u32,
-                            first: 0,
-                            len: cps as u32,
-                        },
-                    );
-                }
-            }
-        }
-        stats.barriers = stages as u64;
-        stats.codelets = (fft.total_codelets() * copies) as u64;
-        stats.elapsed = start.elapsed();
-        return stats;
-    }
-
-    // ~4 chunks per worker per wave: coarse enough to amortize deque
-    // traffic, fine enough that a straggling worker's tail gets stolen.
-    let wave_items = cps * copies;
-    let chunk_len = (wave_items / (workers * 4)).clamp(1, cps);
-
-    let deques: Vec<Worker<Chunk>> = (0..workers).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Chunk>> = deques.iter().map(Worker::stealer).collect();
-    let steal_order = StealOrder::new();
-    let remaining = AtomicUsize::new(0);
-    let done = AtomicBool::new(false);
-    let poisoned = AtomicBool::new(false);
-    let payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let waves_run = std::thread::scope(|scope| {
-        for me in 0..workers {
-            let deques = &deques;
-            let stealers = &stealers;
-            let steal_order = &steal_order;
-            let remaining = &remaining;
-            let done = &done;
-            let poisoned = &poisoned;
-            let payload = &payload;
-            let views = &views;
-            scope.spawn(move || {
-                let backoff = Backoff::new();
-                loop {
-                    if done.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let mut next = deques[me].pop();
-                    if next.is_none() {
-                        let n = stealers.len();
-                        let from = steal_order.start(n);
-                        'scan: for off in 0..n {
-                            let victim = (from + off) % n;
-                            if victim == me {
-                                continue;
-                            }
-                            loop {
-                                match stealers[victim].steal() {
-                                    Steal::Success(c) => {
-                                        next = Some(c);
-                                        break 'scan;
-                                    }
-                                    Steal::Empty => break,
-                                    Steal::Retry => continue,
-                                }
-                            }
-                        }
-                    }
-                    match next {
-                        Some(chunk) => {
-                            backoff.reset();
-                            // SAFETY: the wave protocol (module docs): the
-                            // coordinator only publishes a stage's chunks
-                            // after the previous stage's barrier.
-                            let run = catch_unwind(AssertUnwindSafe(|| unsafe {
-                                run_chunk(plan, kernel, views, chunk);
-                            }));
-                            if let Err(p) = run {
-                                let mut slot = payload.lock();
-                                if slot.is_none() {
-                                    *slot = Some(p);
-                                }
-                                poisoned.store(true, Ordering::Release);
-                            }
-                            // Always decrement — a poisoned wave must still
-                            // drain or the barrier below would deadlock.
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        None => backoff.snooze(),
-                    }
-                }
-            });
-        }
-
-        let mut waves = 0u64;
-        for stage in 0..stages {
-            let mut wave_chunks = 0usize;
-            let mut dealt = 0usize;
-            // Count first, publish the barrier total, then deal: a worker
-            // must never observe `remaining` at zero mid-wave.
-            for copy in 0..copies {
-                let _ = copy;
-                let mut first = 0;
-                while first < cps {
-                    wave_chunks += 1;
-                    first += chunk_len;
-                }
-            }
-            remaining.store(wave_chunks, Ordering::Release);
-            for copy in 0..copies {
-                let mut first = 0;
-                while first < cps {
-                    let len = chunk_len.min(cps - first);
-                    deques[dealt % workers].push(Chunk {
-                        copy: copy as u32,
-                        stage: stage as u32,
-                        first: first as u32,
-                        len: len as u32,
-                    });
-                    dealt += 1;
-                    first += chunk_len;
-                }
-            }
-            let backoff = Backoff::new();
-            while remaining.load(Ordering::Acquire) > 0 {
-                backoff.snooze();
-            }
-            waves += 1;
-            if poisoned.load(Ordering::Acquire) {
-                break;
-            }
-        }
-        done.store(true, Ordering::Release);
-        waves
-    });
-
-    if let Some(p) = payload.lock().take() {
-        resume_unwind(p);
-    }
-    stats.barriers = waves_run;
-    stats.codelets = (fft.total_codelets() * copies) as u64;
-    stats.elapsed = start.elapsed();
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{BackendSel, HostScalar, HostSimd};
+    use crate::backend::{BackendSel, CodeletKernel, HostScalar, HostSimd};
+    use crate::complex::Complex64;
+    use crate::exec::shared::SharedData;
     use crate::exec::{SeedOrder, Version};
     use crate::planner::PlanKey;
+    use codelet::runtime::Runtime;
     use fgsupport::rng::Rng64;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn signal(n: usize, seed: u64) -> Vec<Complex64> {
         let mut rng = Rng64::seed_from_u64(seed);
@@ -400,11 +168,16 @@ mod tests {
             }
         }
         let key = PlanKey::new(1 << 8, Version::Coarse, Version::Coarse.layout());
-        let plan = Plan::build(key);
+        let plan = Arc::new(Plan::build(key));
+        let prepared = PreparedPlan::new(
+            &plan,
+            ExecMode::Kernel(Arc::new(Grenade), Dispatch::Staged),
+            &Threaded::new(Arc::new(HostScalar)),
+        );
         let runtime = Runtime::with_workers(3);
         let mut buf = signal(1 << 8, 3);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            execute_batch_threaded(&plan, &Grenade, &mut [&mut buf], &runtime);
+            prepared.execute_batch(&mut [&mut buf], &runtime);
         }));
         let msg = caught.expect_err("panic must propagate");
         assert_eq!(msg.downcast_ref::<&str>(), Some(&"boom"));

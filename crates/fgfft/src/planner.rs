@@ -37,9 +37,10 @@ use crate::workload::{
     self, ScheduleSpec, ScheduleTuning, TransformKind, DEFAULT_TRANSPOSE_BLOCK_LOG2,
     SCRATCHPAD_RADIX_LOG2,
 };
-use codelet::graph::{BatchProgram, CodeletId, CsrProgram};
+use codelet::graph::{BatchProgram, CodeletId, CodeletProgram, CsrProgram};
 use codelet::pool::PoolDiscipline;
 use codelet::runtime::Runtime;
+use codelet::stats::RunStats;
 use fgsupport::sync::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -153,6 +154,35 @@ enum Schedule {
         late_seeds: Vec<CodeletId>,
         late_expected: usize,
     },
+}
+
+impl Schedule {
+    /// Bytes the materialized schedule keeps resident.
+    fn resident_bytes(&self) -> u64 {
+        match self {
+            Schedule::Phased(phases) => phases
+                .iter()
+                .map(|p| (p.len() * std::mem::size_of::<CodeletId>()) as u64)
+                .sum(),
+            Schedule::Fine { graph, seeds } => {
+                graph.resident_bytes() + (seeds.len() * std::mem::size_of::<CodeletId>()) as u64
+            }
+            Schedule::Guided { early, late, .. } => early.resident_bytes() + late.resident_bytes(),
+        }
+    }
+}
+
+/// Which schedule a run dispatches: the plan's certified schedule, or its
+/// stage-by-stage strengthening — stage `s` (codelet ids `s·cps..(s+1)·cps`
+/// of every copy) one barrier phase — which the threaded backend selects.
+/// All cross-stage edges point forward, so the staged order is a linear
+/// extension of every version's DAG and yields the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dispatch {
+    /// The version's own (possibly tuned) schedule.
+    Planned,
+    /// One barrier phase per stage on [`Runtime::run_phased`].
+    Staged,
 }
 
 /// Per-stage execution tables, FFTW-style: everything a codelet's inner loop
@@ -490,16 +520,7 @@ impl Plan {
     /// Approximate bytes this plan keeps resident (twiddles, swap table,
     /// materialized schedule) — what a cache eviction would reclaim.
     pub fn resident_bytes(&self) -> u64 {
-        let schedule = match &self.schedule {
-            Schedule::Phased(phases) => phases
-                .iter()
-                .map(|p| (p.len() * std::mem::size_of::<CodeletId>()) as u64)
-                .sum(),
-            Schedule::Fine { graph, seeds } => {
-                graph.resident_bytes() + (seeds.len() * std::mem::size_of::<CodeletId>()) as u64
-            }
-            Schedule::Guided { early, late, .. } => early.resident_bytes() + late.resident_bytes(),
-        };
+        let schedule = self.schedule.resident_bytes();
         let tables: u64 = self.tables.iter().map(StageTable::bytes).sum();
         let ext = match self.ext.as_deref() {
             None => 0,
@@ -515,15 +536,18 @@ impl Plan {
     /// [`Plan::n`]) on `runtime`. Bit-identical to
     /// [`crate::exec::fft_in_place`] with the same key.
     pub fn execute(&self, data: &mut [Complex64], runtime: &Runtime) -> ExecStats {
-        self.execute_with(&ScalarKernel, data, runtime)
+        self.execute_with(&ScalarKernel, Dispatch::Planned, data, runtime)
     }
 
     /// As [`Plan::execute`], but with the butterfly arithmetic supplied by
-    /// `kernel` — the entry point [`crate::backend`] routes through. With
-    /// [`ScalarKernel`] this monomorphizes to exactly the historical path.
+    /// `kernel` and the schedule chosen by `dispatch` — the entry point
+    /// [`crate::backend`] routes through. With [`ScalarKernel`] and
+    /// [`Dispatch::Planned`] this monomorphizes to exactly the historical
+    /// path.
     pub(crate) fn execute_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
+        dispatch: Dispatch,
         data: &mut [Complex64],
         runtime: &Runtime,
     ) -> ExecStats {
@@ -534,15 +558,15 @@ impl Plan {
         );
         let start = Instant::now();
         let mut stats = match self.ext.as_deref() {
-            None => self.execute_c2c_with(kernel, data, runtime),
+            None => self.execute_c2c_with(kernel, dispatch, data, runtime),
             Some(KindExt::Real { untangle, inverse }) => {
                 if *inverse {
                     tangle_span(data, untangle, 0, untangle.len());
-                    let stats = self.execute_c2c_with(kernel, data, runtime);
+                    let stats = self.execute_c2c_with(kernel, dispatch, data, runtime);
                     finalize_span(data, 0, data.len());
                     stats
                 } else {
-                    let stats = self.execute_c2c_with(kernel, data, runtime);
+                    let stats = self.execute_c2c_with(kernel, dispatch, data, runtime);
                     untangle_span(data, untangle, 0, untangle.len());
                     stats
                 }
@@ -554,6 +578,7 @@ impl Plan {
                 col_plan,
             }) => self.execute_2d(
                 kernel,
+                dispatch,
                 data,
                 runtime,
                 1usize << rows_log2,
@@ -570,6 +595,7 @@ impl Plan {
     fn execute_c2c_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
+        dispatch: Dispatch,
         data: &mut [Complex64],
         runtime: &Runtime,
     ) -> ExecStats {
@@ -579,7 +605,7 @@ impl Plan {
         // SAFETY: every schedule below upholds the dataflow discipline
         // documented in `exec::shared`.
         let body = |id: usize| unsafe { self.run_codelet_with(kernel, &view, id) };
-        let stats = self.dispatch(runtime, body);
+        let stats = self.dispatch(dispatch, 1, runtime, body);
         debug_assert_eq!(stats.codelets, self.fft.total_codelets() as u64);
         stats
     }
@@ -592,6 +618,7 @@ impl Plan {
     fn execute_2d<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
+        dispatch: Dispatch,
         data: &mut [Complex64],
         runtime: &Runtime,
         rows: usize,
@@ -601,13 +628,13 @@ impl Plan {
     ) -> ExecStats {
         let mut stats = {
             let mut row_views: Vec<&mut [Complex64]> = data.chunks_exact_mut(cols).collect();
-            self.execute_c2c_batch_with(kernel, &mut row_views, runtime)
+            self.execute_c2c_batch_with(kernel, dispatch, &mut row_views, runtime)
         };
         let mut scratch = vec![Complex64::ZERO; data.len()];
         transpose_blocked(data, &mut scratch, rows, cols, block);
         let col_stats = {
             let mut col_views: Vec<&mut [Complex64]> = scratch.chunks_exact_mut(rows).collect();
-            col_plan.execute_c2c_batch_with(kernel, &mut col_views, runtime)
+            col_plan.execute_c2c_batch_with(kernel, dispatch, &mut col_views, runtime)
         };
         transpose_blocked(&scratch, data, cols, rows, block);
         stats.codelets += col_stats.codelets;
@@ -744,7 +771,7 @@ impl Plan {
             // documented in `exec::shared`, exactly as in `execute`.
             unsafe { self.run_codelet(&view, id) };
         };
-        let stats = self.dispatch(runtime, body);
+        let stats = self.dispatch(Dispatch::Planned, 1, runtime, body);
         out.extend(slots.into_iter().enumerate().map(|(id, slot)| {
             slot.into_inner()
                 .unwrap_or_else(|| panic!("codelet {id} never fired"))
@@ -758,19 +785,21 @@ impl Plan {
     /// once per request. Every buffer receives exactly the result
     /// [`Plan::execute`] would produce.
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
-        self.execute_batch_with(&ScalarKernel, buffers, runtime)
+        self.execute_batch_with(&ScalarKernel, Dispatch::Planned, buffers, runtime)
     }
 
     /// As [`Plan::execute_batch`], but with the butterfly arithmetic
-    /// supplied by `kernel` (see [`Plan::execute_with`]).
+    /// supplied by `kernel` and the schedule chosen by `dispatch` (see
+    /// [`Plan::execute_with`]).
     pub(crate) fn execute_batch_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
+        dispatch: Dispatch,
         buffers: &mut [&mut [Complex64]],
         runtime: &Runtime,
     ) -> ExecStats {
         match self.ext.as_deref() {
-            None => self.execute_c2c_batch_with(kernel, buffers, runtime),
+            None => self.execute_c2c_batch_with(kernel, dispatch, buffers, runtime),
             Some(KindExt::Real { untangle, inverse }) => {
                 let start = Instant::now();
                 for buf in buffers.iter_mut() {
@@ -785,12 +814,12 @@ impl Plan {
                     for buf in buffers.iter_mut() {
                         tangle_span(buf, untangle, 0, untangle.len());
                     }
-                    stats = self.execute_c2c_batch_with(kernel, buffers, runtime);
+                    stats = self.execute_c2c_batch_with(kernel, dispatch, buffers, runtime);
                     for buf in buffers.iter_mut() {
                         finalize_span(buf, 0, buf.len());
                     }
                 } else {
-                    stats = self.execute_c2c_batch_with(kernel, buffers, runtime);
+                    stats = self.execute_c2c_batch_with(kernel, dispatch, buffers, runtime);
                     for buf in buffers.iter_mut() {
                         untangle_span(buf, untangle, 0, untangle.len());
                     }
@@ -804,7 +833,7 @@ impl Plan {
                 let start = Instant::now();
                 let mut stats = ExecStats::default();
                 for buf in buffers.iter_mut() {
-                    let s = self.execute_with(kernel, buf, runtime);
+                    let s = self.execute_with(kernel, dispatch, buf, runtime);
                     stats.codelets += s.codelets;
                     stats.barriers += s.barriers;
                     stats.phases.extend(s.phases);
@@ -815,109 +844,95 @@ impl Plan {
         }
     }
 
-    /// Batched inner complex wave — the historical C2C batch hot path.
+    /// Batched inner complex wave — the historical C2C batch hot path. A
+    /// single buffer takes the unbatched path.
     fn execute_c2c_batch_with<K: CodeletKernel + ?Sized>(
         &self,
         kernel: &K,
+        dispatch: Dispatch,
         buffers: &mut [&mut [Complex64]],
         runtime: &Runtime,
     ) -> ExecStats {
-        let copies = buffers.len();
-        if copies == 1 {
-            let start = Instant::now();
-            let mut stats = self.execute_c2c_with(kernel, buffers[0], runtime);
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
         let start = Instant::now();
-        let mut stats = ExecStats::default();
-        if copies == 0 {
-            stats.elapsed = start.elapsed();
-            return stats;
-        }
-        for buf in buffers.iter_mut() {
-            assert_eq!(buf.len(), self.fft.n(), "buffer length must match the plan");
-            apply_swaps_parallel(buf, &self.bitrev_swaps, runtime.workers());
-        }
-        let views: Vec<SharedData<'_>> = buffers.iter_mut().map(|b| SharedData::new(b)).collect();
+        let copies = buffers.len();
         let total = self.fft.total_codelets();
-        // SAFETY: ids of different copies address disjoint buffers; within a
-        // copy the schedule upholds the usual dataflow discipline.
-        let body =
-            |id: usize| unsafe { self.run_codelet_with(kernel, &views[id / total], id % total) };
-        match &self.schedule {
-            Schedule::Phased(phases) => {
-                // Stage s of every copy forms one barrier phase.
-                let batched: Vec<Vec<CodeletId>> = phases
-                    .iter()
-                    .map(|p| {
-                        let mut ids = Vec::with_capacity(p.len() * copies);
-                        for k in 0..copies {
-                            ids.extend(p.iter().map(|&c| k * total + c));
-                        }
-                        ids
-                    })
-                    .collect();
-                let rs = runtime.run_phased(&batched, body);
-                stats.barriers = rs.barriers;
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
+        let mut stats = match buffers {
+            [] => ExecStats::default(),
+            [data] => self.execute_c2c_with(kernel, dispatch, data, runtime),
+            _ => {
+                for buf in buffers.iter_mut() {
+                    assert_eq!(buf.len(), self.fft.n(), "buffer length must match the plan");
+                    apply_swaps_parallel(buf, &self.bitrev_swaps, runtime.workers());
+                }
+                let views: Vec<SharedData<'_>> =
+                    buffers.iter_mut().map(|b| SharedData::new(b)).collect();
+                // SAFETY: ids of different copies address disjoint buffers;
+                // within a copy the schedule upholds the usual dataflow
+                // discipline.
+                let body = |id: usize| unsafe {
+                    self.run_codelet_with(kernel, &views[id / total], id % total)
+                };
+                self.dispatch(dispatch, copies, runtime, body)
             }
-            Schedule::Fine { graph, seeds } => {
-                let batch = BatchProgram::new(graph, copies);
-                let batched_seeds = batch.batched_seeds(seeds);
-                let rs =
-                    runtime.run_with_seed_order(&batch, PoolDiscipline::Lifo, &batched_seeds, body);
-                stats.codelets = rs.total_fired;
-                stats.phases.push(rs);
-            }
-            Schedule::Guided {
-                early,
-                early_seeds,
-                early_expected,
-                late,
-                late_seeds,
-                late_expected,
-            } => {
-                let early_batch = BatchProgram::new(early, copies);
-                let rs1 = runtime.run_partial(
-                    &early_batch,
-                    PoolDiscipline::Lifo,
-                    &early_batch.batched_seeds(early_seeds),
-                    early_expected * copies,
-                    body,
-                );
-                let late_batch = BatchProgram::new(late, copies);
-                let rs2 = runtime.run_partial(
-                    &late_batch,
-                    PoolDiscipline::Lifo,
-                    &late_batch.batched_seeds(late_seeds),
-                    late_expected * copies,
-                    body,
-                );
-                stats.barriers = 1;
-                stats.codelets = rs1.total_fired + rs2.total_fired;
-                stats.phases.push(rs1);
-                stats.phases.push(rs2);
-            }
-        }
+        };
         stats.elapsed = start.elapsed();
         debug_assert_eq!(stats.codelets, (total * copies) as u64);
         stats
     }
 
-    /// Single-buffer dispatch over the precomputed schedule.
-    fn dispatch(&self, runtime: &Runtime, body: impl Fn(usize) + Sync) -> ExecStats {
+    /// The one schedule dispatch: fire `body` over every codelet of
+    /// `copies` stacked copies of the inner FFT (copy `k`'s ids offset by
+    /// `k · total_codelets`). One copy runs the unwrapped phase lists and
+    /// CSR programs; more copies run each phase or slice of every copy as
+    /// one runtime call, so worker start-up is paid once per batch.
+    fn dispatch(
+        &self,
+        dispatch: Dispatch,
+        copies: usize,
+        runtime: &Runtime,
+        body: impl Fn(usize) + Sync,
+    ) -> ExecStats {
+        let staged;
+        let schedule = match dispatch {
+            Dispatch::Planned => &self.schedule,
+            Dispatch::Staged => {
+                let cps = self.fft.codelets_per_stage();
+                staged = Schedule::Phased(
+                    (0..self.fft.stages())
+                        .map(|s| (s * cps..(s + 1) * cps).collect())
+                        .collect(),
+                );
+                &staged
+            }
+        };
         let mut stats = ExecStats::default();
-        match &self.schedule {
+        match schedule {
             Schedule::Phased(phases) => {
+                let batched: Vec<Vec<CodeletId>>;
+                let phases = if copies == 1 {
+                    phases
+                } else {
+                    // Stage s of every copy forms one barrier phase.
+                    let total = self.fft.total_codelets();
+                    batched = phases
+                        .iter()
+                        .map(|p| {
+                            let mut ids = Vec::with_capacity(p.len() * copies);
+                            for k in 0..copies {
+                                ids.extend(p.iter().map(|&c| k * total + c));
+                            }
+                            ids
+                        })
+                        .collect();
+                    &batched
+                };
                 let rs = runtime.run_phased(phases, body);
                 stats.barriers = rs.barriers;
                 stats.codelets = rs.total_fired;
                 stats.phases.push(rs);
             }
             Schedule::Fine { graph, seeds } => {
-                let rs = runtime.run_with_seed_order(graph, PoolDiscipline::Lifo, seeds, body);
+                let rs = run_slice(runtime, graph, seeds, graph.num_codelets(), copies, body);
                 stats.codelets = rs.total_fired;
                 stats.phases.push(rs);
             }
@@ -929,21 +944,9 @@ impl Plan {
                 late_seeds,
                 late_expected,
             } => {
-                let rs1 = runtime.run_partial(
-                    early,
-                    PoolDiscipline::Lifo,
-                    early_seeds,
-                    *early_expected,
-                    &body,
-                );
-                // The join of the early phase's worker scope is the barrier.
-                let rs2 = runtime.run_partial(
-                    late,
-                    PoolDiscipline::Lifo,
-                    late_seeds,
-                    *late_expected,
-                    body,
-                );
+                let rs1 = run_slice(runtime, early, early_seeds, *early_expected, copies, &body);
+                // The join of the early slice's worker scope is the barrier.
+                let rs2 = run_slice(runtime, late, late_seeds, *late_expected, copies, body);
                 stats.barriers = 1;
                 stats.codelets = rs1.total_fired + rs2.total_fired;
                 stats.phases.push(rs1);
@@ -952,6 +955,31 @@ impl Plan {
         }
         stats
     }
+}
+
+/// Fine-grain run of the `expected` codelets a materialized slice's
+/// `seeds` enable, over `copies` stacked copies. One copy runs the
+/// unwrapped program; more wrap it in a [`BatchProgram`].
+fn run_slice(
+    runtime: &Runtime,
+    graph: &CsrProgram,
+    seeds: &[CodeletId],
+    expected: usize,
+    copies: usize,
+    body: impl Fn(CodeletId) + Sync,
+) -> RunStats {
+    if copies == 1 {
+        return runtime.run_partial(graph, PoolDiscipline::Lifo, seeds, expected, body);
+    }
+    let batch = BatchProgram::new(graph, copies);
+    let seeds = batch.batched_seeds(seeds);
+    runtime.run_partial(
+        &batch,
+        PoolDiscipline::Lifo,
+        &seeds,
+        expected * copies,
+        body,
+    )
 }
 
 /// Untangle bins `lo..hi` of a packed half-complex forward result, in

@@ -116,23 +116,34 @@ fn phased_execution_over_random_layers() {
     let phases: Vec<Vec<usize>> = (0..layers)
         .map(|l| (l * width..(l + 1) * width).collect())
         .collect();
-    let clock = AtomicU32::new(0);
-    let stamp: Vec<AtomicU32> = (0..layers * width).map(|_| AtomicU32::new(0)).collect();
-    let rt = Runtime::new(RuntimeConfig::with_workers(8));
-    let stats = rt.run_phased(&phases, |id| {
-        stamp[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-    });
-    assert_eq!(stats.barriers, layers as u64);
-    for l in 1..layers {
-        let prev_max = (0..width)
-            .map(|c| stamp[(l - 1) * width + c].load(Ordering::SeqCst))
-            .max()
-            .unwrap();
-        let cur_min = (0..width)
-            .map(|c| stamp[l * width + c].load(Ordering::SeqCst))
-            .min()
-            .unwrap();
-        assert!(cur_min > prev_max, "phase {l} overlapped phase {}", l - 1);
+    for workers in [1, 2, 8] {
+        let clock = AtomicU32::new(0);
+        let stamp: Vec<AtomicU32> = (0..layers * width).map(|_| AtomicU32::new(0)).collect();
+        let rt = Runtime::new(RuntimeConfig::with_workers(workers));
+        let stats = rt.run_phased(&phases, |id| {
+            stamp[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+        });
+        assert_eq!(stats.barriers, layers as u64);
+        assert_eq!(
+            stats.total_fired,
+            (layers * width) as u64,
+            "workers={workers}"
+        );
+        for l in 1..layers {
+            let prev_max = (0..width)
+                .map(|c| stamp[(l - 1) * width + c].load(Ordering::SeqCst))
+                .max()
+                .unwrap();
+            let cur_min = (0..width)
+                .map(|c| stamp[l * width + c].load(Ordering::SeqCst))
+                .min()
+                .unwrap();
+            assert!(
+                cur_min > prev_max,
+                "workers={workers}: phase {l} overlapped phase {}",
+                l - 1
+            );
+        }
     }
 }
 
