@@ -15,13 +15,27 @@
 //! Shared-counter groups ([`crate::counter::SharedCounters`]) are used
 //! automatically when the program declares them.
 //!
+//! # The helper pool
+//!
+//! Every run executes on the calling thread, as worker 0, plus up to
+//! `workers - 1` threads of one process-wide helper pool. The pool starts
+//! with the first multi-worker run, grows to the largest `workers - 1`
+//! any run has asked for, and its threads live as long as the process: a
+//! run hands its work to helpers that are already parked (or still
+//! spinning from the previous run) instead of spawning threads. A helper
+//! busy with another run does not join this one, so every run is written
+//! to finish with whichever workers show up; that is what lets concurrent
+//! callers and nested runs (a body that itself runs a program) proceed
+//! without waiting for each other.
+//!
 //! # Panic semantics
 //!
 //! A panicking codelet body never hangs a run: the first panic sets a
 //! poison flag, every worker drains out instead of spinning on a
 //! completion count that can no longer be reached, and the original
 //! payload is re-raised on the *calling* thread via
-//! [`std::panic::resume_unwind`] once the worker scope has joined. The
+//! [`std::panic::resume_unwind`] once every helper that joined the run has
+//! left it. Helper threads survive the panic and serve later runs. The
 //! run's partial effects on caller-owned data (e.g. an in-place FFT
 //! buffer) are left as-is — the caller must treat the data as garbage.
 //!
@@ -38,8 +52,12 @@ use crate::pool::{PoolDiscipline, ReadyPool};
 use crate::stats::RunStats;
 use fgsupport::backoff::Backoff;
 use fgsupport::deque::{Steal, StealOrder, Stealer, Worker};
+use fgsupport::sync::Mutex;
+use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::Instant;
 
 /// Runtime configuration.
@@ -69,19 +87,23 @@ impl RuntimeConfig {
     }
 }
 
-/// A reusable codelet runtime. Each run spawns its own scoped worker
-/// threads for that call alone (a phased run counts the calling thread as
-/// one of its workers, so on one worker it spawns none): the runtime itself
-/// is just configuration, so it is cheap to construct and freely shareable.
+/// A reusable codelet runtime. Each run works on the calling thread plus
+/// whichever threads of the process-wide helper pool join it (see the
+/// module docs' *The helper pool*); on one worker it uses the caller
+/// alone. The runtime itself is just configuration, so it is cheap to
+/// construct and freely shareable.
 #[derive(Debug, Clone, Default)]
 pub struct Runtime {
     config: RuntimeConfig,
 }
 
 impl Runtime {
-    /// Build a runtime from a configuration.
+    /// Build a runtime from a configuration; a worker count of 0 is taken
+    /// as 1.
     pub fn new(config: RuntimeConfig) -> Self {
-        Self { config }
+        Self {
+            config: RuntimeConfig::with_workers(config.workers),
+        }
     }
 
     /// Runtime with an explicit worker count (min 1) — shorthand for
@@ -179,40 +201,21 @@ impl Runtime {
             .collect::<Vec<_>>();
 
         let start = Instant::now();
-        let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let pool = &*pool;
-                    let counters = &counters;
-                    let shared = shared.as_ref();
-                    let completed = &completed;
-                    let poisoned = &poisoned;
-                    let fired = &fired;
-                    let empty = &empty;
-                    let body = &body;
-                    scope.spawn(move || {
-                        worker_loop(
-                            w, program, pool, counters, shared, completed, poisoned, total, body,
-                            &fired[w], &empty[w],
-                        )
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(payload)) | Err(payload) => {
-                        panic_payload.get_or_insert(payload);
-                    }
-                }
-            }
+        broadcast(n_workers, &|w| {
+            worker_loop(
+                w,
+                program,
+                &*pool,
+                &counters,
+                shared.as_ref(),
+                &completed,
+                &poisoned,
+                total,
+                &body,
+                &fired[w],
+                &empty[w],
+            )
         });
-        if let Some(payload) = panic_payload {
-            // A codelet body panicked: every worker has drained out via the
-            // poison flag; re-raise the original panic on the caller.
-            std::panic::resume_unwind(payload);
-        }
         let elapsed = start.elapsed();
 
         debug_assert_eq!(completed.load(Ordering::Acquire), total);
@@ -255,31 +258,32 @@ impl Runtime {
     /// # The wave protocol
     ///
     /// With one worker the phases run in order on the calling thread, with
-    /// no thread spawned. Otherwise the calling thread is worker 0 and
-    /// coordinates `workers() - 1` scoped pool threads, one *wave* per
-    /// phase. It splits the phase into about four contiguous chunks per
-    /// worker (coarse enough to amortize deque traffic, fine enough that a
-    /// straggler's tail gets stolen), stores the wave's chunk count in a
-    /// countdown with `Release`, deals the chunks round-robin into
-    /// per-worker deques ([`fgsupport::deque`]), and then works the wave
-    /// itself until an `Acquire` read of the countdown sees zero. Workers
-    /// pop their own deque LIFO and otherwise steal FIFO, starting the
-    /// victim scan at a [`StealOrder`]-randomized peer so no deque is
-    /// systematically drained last; every finished chunk ends with a
-    /// `fetch_sub(1, AcqRel)`. The release sequence on that counter makes
-    /// every body of a wave happen-before the coordinator's zero read,
-    /// and the next wave's chunks are published through the deque locks:
-    /// that is the cross-phase happens-before edge the phases' data
-    /// dependencies need.
+    /// no helper involved. Otherwise the calling thread is worker 0 and
+    /// coordinates the helpers that join, one *wave* per phase. It splits
+    /// the phase into about four contiguous chunks per worker (coarse
+    /// enough to amortize deque traffic, fine enough that a straggler's
+    /// tail gets stolen), stores the wave's chunk count in a countdown with
+    /// `Release`, deals the chunks round-robin into per-worker deques
+    /// ([`fgsupport::deque`]), and then works the wave itself until an
+    /// `Acquire` read of the countdown sees zero. Workers pop their own
+    /// deque LIFO and otherwise steal FIFO, starting the victim scan at a
+    /// [`StealOrder`]-randomized peer so no deque is systematically drained
+    /// last; the deque of a worker no helper joined as is simply drained by
+    /// steals. Every finished chunk ends with a `fetch_sub(1, AcqRel)`. The
+    /// release sequence on that counter makes every body of a wave
+    /// happen-before the coordinator's zero read, and the next wave's
+    /// chunks are published through the deque locks: that is the
+    /// cross-phase happens-before edge the phases' data dependencies need.
     ///
     /// # Panics
     ///
     /// A panicking body is caught per chunk and poisons the run: the wave
     /// still drains (poisoned chunks skip their bodies but always
     /// decrement, so the barrier cannot deadlock), later phases are not
-    /// dealt, and the first payload is re-raised on this thread after the
-    /// worker scope joins (see the module docs' *Panic semantics*). With
-    /// one worker the panic simply unwinds out of the inline loop.
+    /// dealt, and the first payload is re-raised on this thread after
+    /// every joined helper has left the run (see the module docs' *Panic
+    /// semantics*). With one worker the panic simply unwinds out of the
+    /// inline loop.
     pub fn run_phased(
         &self,
         phases: &[Vec<CodeletId>],
@@ -288,7 +292,7 @@ impl Runtime {
         let n_workers = self.config.workers;
         let start = Instant::now();
         if n_workers == 1 {
-            // The degenerate wave order, without deques or a scope.
+            // The degenerate wave order, without deques or helpers.
             for &id in phases.iter().flatten() {
                 body(id);
             }
@@ -306,10 +310,12 @@ impl Runtime {
         let steal_order = StealOrder::new();
         let remaining = AtomicUsize::new(0);
         // Plain stop flags: they publish no data (a panic payload travels
-        // back through its worker's tally), so their Release/Acquire pairs
-        // only order the flag itself.
+        // back through `broadcast`), so their Release/Acquire pairs only
+        // order the flag itself.
         let done = AtomicBool::new(false);
         let poisoned = AtomicBool::new(false);
+        let fired: Vec<AtomicU64> = (0..n_workers).map(|_| AtomicU64::new(0)).collect();
+        let empty: Vec<AtomicU64> = (0..n_workers).map(|_| AtomicU64::new(0)).collect();
 
         // Worker `me` runs chunks, its own or stolen, until `stop()`.
         let work = |me: usize, tally: &mut Tally, stop: &dyn Fn() -> bool| {
@@ -341,21 +347,9 @@ impl Runtime {
                 remaining.fetch_sub(1, Ordering::AcqRel);
             }
         };
-
-        let mut tallies = Vec::with_capacity(n_workers);
-        std::thread::scope(|scope| {
-            let work = &work;
-            let stop = || done.load(Ordering::Acquire);
-            let handles: Vec<_> = (1..n_workers)
-                .map(|me| {
-                    scope.spawn(move || {
-                        let mut tally = Tally::default();
-                        work(me, &mut tally, &stop);
-                        tally
-                    })
-                })
-                .collect();
-            let mut mine = Tally::default();
+        // Worker 0 (the caller) deals and works each wave, then stops the
+        // helpers; every other worker works until stopped.
+        let coordinate = |tally: &mut Tally| {
             let wave_done = || remaining.load(Ordering::Acquire) == 0;
             for (p, phase) in phases.iter().enumerate() {
                 if poisoned.load(Ordering::Acquire) {
@@ -374,25 +368,29 @@ impl Runtime {
                         len: len.min(phase.len() - first),
                     });
                 }
-                work(0, &mut mine, &wave_done);
+                work(0, tally, &wave_done);
             }
             done.store(true, Ordering::Release);
-            tallies.push(mine);
-            for h in handles {
-                tallies.push(h.join().unwrap_or_else(|p| Tally {
-                    payload: Some(p),
-                    ..Tally::default()
-                }));
+        };
+
+        broadcast(n_workers, &|me| {
+            let mut tally = Tally::default();
+            if me == 0 {
+                coordinate(&mut tally);
+            } else {
+                work(me, &mut tally, &|| done.load(Ordering::Acquire));
+            }
+            fired[me].store(tally.fired, Ordering::Relaxed);
+            empty[me].store(tally.empty, Ordering::Relaxed);
+            if let Some(payload) = tally.payload {
+                std::panic::resume_unwind(payload);
             }
         });
-        if let Some(payload) = tallies.iter_mut().find_map(|t| t.payload.take()) {
-            std::panic::resume_unwind(payload);
-        }
-        let fired_per_worker: Vec<u64> = tallies.iter().map(|t| t.fired).collect();
+        let fired_per_worker: Vec<u64> = fired.iter().map(|f| f.load(Ordering::Relaxed)).collect();
         RunStats {
             total_fired: fired_per_worker.iter().sum(),
             fired_per_worker,
-            empty_pops_per_worker: tallies.iter().map(|t| t.empty).collect(),
+            empty_pops_per_worker: empty.iter().map(|e| e.load(Ordering::Relaxed)).collect(),
             elapsed: start.elapsed(),
             barriers: phases.len() as u64,
         }
@@ -405,7 +403,7 @@ struct Tally {
     fired: u64,
     empty: u64,
     /// The first panic payload this worker caught.
-    payload: Option<Box<dyn std::any::Any + Send>>,
+    payload: Option<Payload>,
 }
 
 /// Chunks dealt per worker per phase by [`Runtime::run_phased`].
@@ -435,9 +433,188 @@ fn steal<T>(stealers: &[Stealer<T>], me: usize, order: &StealOrder) -> Option<T>
     None
 }
 
-/// The fine-grain worker loop: pop, fire, signal, push. Returns the panic
-/// payload of the first codelet body that panicked on this worker, if any;
-/// a panic elsewhere drains the loop via the poison flag.
+/// A panic payload on its way back to a run's caller.
+type Payload = Box<dyn Any + Send>;
+
+/// The process-wide helper pool, in spawn order. Helpers are leaked: their
+/// threads serve runs for the rest of the process.
+static HELPERS: Mutex<Vec<&'static Helper>> = Mutex::new(Vec::new());
+
+/// [`Helper::slot`] of a helper waiting for a run.
+const IDLE: usize = 0;
+/// [`Helper::slot`] of a helper that has joined a run.
+const BUSY: usize = 1;
+
+/// One pool thread's mailbox, on a cache line of its own: the helper spins
+/// on it while callers offer and revoke runs on its neighbours.
+#[repr(align(64))]
+struct Helper {
+    /// [`IDLE`], [`BUSY`], or the address of the [`Job`] offered to it.
+    slot: AtomicUsize,
+    /// Set before the helper is published in [`HELPERS`].
+    thread: OnceLock<Thread>,
+}
+
+/// One run as its helpers see it. It lives on the caller's stack for the
+/// duration of [`broadcast`].
+struct Job<'a> {
+    work: &'a (dyn Fn(usize) + Sync),
+    /// The worker index the next joining helper takes.
+    next: AtomicUsize,
+    /// Joined helpers that have left the run.
+    left: AtomicUsize,
+    /// The first panic payload a worker raised.
+    panic: Mutex<Option<Payload>>,
+}
+
+impl Job<'_> {
+    /// Work as worker `w`, catching a panic into the job.
+    fn participate(&self, w: usize) {
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| (self.work)(w))) {
+            self.panic.lock().get_or_insert(payload);
+        }
+    }
+}
+
+/// Run `work(0)` on the calling thread and `work(w)`, `w` in
+/// `1..workers`, on each pool helper that joins; return once every joined
+/// helper has left, re-raising the first panic any of them raised.
+///
+/// The handoff, per helper slot:
+///
+/// * **offer** — the caller CASes an idle helper's slot from [`IDLE`] to
+///   the job's address (`Release`, publishing the job) and unparks it;
+/// * **join** — the helper CASes its slot from that address to [`BUSY`]
+///   (`Acquire`), and only a helper that won this CAS ever reads the job;
+/// * **revoke** — once its own share is done the caller CASes every slot
+///   it offered from the address back to [`IDLE`] (`Relaxed`: a success
+///   publishes nothing, a failure is followed by the wait on `left`). A
+///   revoke that succeeds means the helper never joined and, waking late,
+///   finds no address to take; a revoke that fails means it joined;
+/// * **leave** — a joined helper's last touch of the job is
+///   `left.fetch_add(1, Release)`, and the caller waits (`Acquire`) until
+///   `left` equals the number of failed revokes.
+///
+/// So the job, and every borrow `work` holds, outlives each access a
+/// helper makes to it, as with a scoped thread. A helper that read a stale
+/// address can only win its CAS if its slot offers a live job at that
+/// address again, which it may then join. Helpers busy elsewhere are not
+/// offered the job, so `work` must finish with whichever workers join.
+fn broadcast(workers: usize, work: &(dyn Fn(usize) + Sync)) {
+    if workers <= 1 {
+        work(0);
+        return;
+    }
+    let job = Job {
+        work,
+        next: AtomicUsize::new(1),
+        left: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+    };
+    let addr = &job as *const Job<'_> as usize;
+    let offered = offer(addr, workers - 1);
+    job.participate(0);
+    let joined = offered
+        .iter()
+        .filter(|h| {
+            h.slot
+                .compare_exchange(addr, IDLE, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        })
+        .count();
+    let backoff = Backoff::new();
+    while job.left.load(Ordering::Acquire) < joined {
+        backoff.snooze();
+    }
+    if let Some(payload) = job.panic.into_inner() {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// Offer the job at `addr` to up to `wanted` idle helpers, first growing
+/// the pool to `wanted` threads. Returns the helpers it was offered to.
+fn offer(addr: usize, wanted: usize) -> Vec<&'static Helper> {
+    let mut offered = Vec::with_capacity(wanted);
+    {
+        let mut helpers = HELPERS.lock();
+        while helpers.len() < wanted {
+            // A host out of threads runs on the helpers it has.
+            let Some(helper) = spawn_helper() else { break };
+            helpers.push(helper);
+        }
+        for &helper in helpers.iter() {
+            if offered.len() == wanted {
+                break;
+            }
+            if helper
+                .slot
+                .compare_exchange(IDLE, addr, Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                offered.push(helper);
+            }
+        }
+    }
+    for helper in &offered {
+        helper.thread.get().expect("published helper").unpark();
+    }
+    offered
+}
+
+/// Start one pool thread; `None` if the host refuses a thread. Its handle
+/// is dropped: the thread serves runs until the process exits, and
+/// [`Job::participate`] catches every panic, so there is nothing to join.
+fn spawn_helper() -> Option<&'static Helper> {
+    let helper: &'static Helper = Box::leak(Box::new(Helper {
+        slot: AtomicUsize::new(IDLE),
+        thread: OnceLock::new(),
+    }));
+    let handle = std::thread::Builder::new()
+        .name("codelet-helper".into())
+        .spawn(move || serve(helper))
+        .ok()?;
+    let _ = helper.thread.set(handle.thread().clone());
+    Some(helper)
+}
+
+/// A helper's life: wait for an offer (spinning, then parked), join, work,
+/// leave; forever.
+fn serve(me: &Helper) {
+    loop {
+        let backoff = Backoff::new();
+        let addr = loop {
+            let slot = me.slot.load(Ordering::Relaxed);
+            if slot > BUSY
+                && me
+                    .slot
+                    .compare_exchange(slot, BUSY, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break slot;
+            }
+            if backoff.is_completed() {
+                std::thread::park();
+            } else {
+                backoff.snooze();
+            }
+        };
+        // SAFETY: winning the join CAS means the caller's revoke of this
+        // slot fails, so it waits for `left` below before its stack frame,
+        // and the job in it, goes away (see `broadcast`).
+        let job = unsafe { &*(addr as *const Job<'_>) };
+        // `Relaxed`: the claim publishes nothing, it only hands out
+        // distinct indices.
+        job.participate(job.next.fetch_add(1, Ordering::Relaxed));
+        // Idle again before leaving, so the caller's next run can already
+        // offer this helper a job when its wait for `left` ends.
+        me.slot.store(IDLE, Ordering::Release);
+        job.left.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// The fine-grain worker loop: pop, fire, signal, push. A body that panics
+/// poisons the run, so every peer drains out, and the panic continues on
+/// to [`broadcast`], which re-raises it on the caller.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop<P>(
     worker: usize,
@@ -451,8 +628,7 @@ fn worker_loop<P>(
     body: &(impl Fn(CodeletId) + Sync),
     fired: &AtomicU64,
     empty: &AtomicU64,
-) -> Result<(), Box<dyn std::any::Any + Send>>
-where
+) where
     P: CodeletProgram + ?Sized,
 {
     let mut children = Vec::new();
@@ -461,7 +637,7 @@ where
     let backoff = Backoff::new();
     loop {
         if poisoned.load(Ordering::Acquire) {
-            return Ok(());
+            return;
         }
         match pool.pop(worker) {
             Some(id) => {
@@ -470,7 +646,7 @@ where
                     // Poison the run so peers stop waiting for a completion
                     // count that will never be reached.
                     poisoned.store(true, Ordering::Release);
-                    return Err(payload);
+                    std::panic::resume_unwind(payload);
                 }
                 fired.fetch_add(1, Ordering::Relaxed);
 
@@ -513,7 +689,7 @@ where
             }
             None => {
                 if completed.load(Ordering::Acquire) >= total {
-                    return Ok(());
+                    return;
                 }
                 empty.fetch_add(1, Ordering::Relaxed);
                 backoff.snooze();
@@ -772,6 +948,109 @@ mod tests {
             );
             assert_eq!(late.load(Ordering::Relaxed), 0, "workers={workers}");
         }
+    }
+
+    /// A zero-worker configuration (the field is public) runs as one
+    /// worker: every codelet fires, nothing divides by zero.
+    #[test]
+    fn zero_worker_config_runs_as_one_worker() {
+        let rt = Runtime::new(RuntimeConfig { workers: 0 });
+        assert_eq!(rt.workers(), 1);
+        let g = layered_graph(3, 4);
+        let fired = AtomicU32::new(0);
+        let count = |_| {
+            fired.fetch_add(1, Ordering::Relaxed);
+        };
+        assert_eq!(rt.run(&g, PoolDiscipline::Lifo, count).total_fired, 12);
+        let seeds = g.initial_ready();
+        let stats = rt.run_partial(&g, PoolDiscipline::Fifo, &seeds, 12, count);
+        assert_eq!(stats.total_fired, 12);
+        assert_eq!(stats.fired_per_worker.len(), 1);
+        let stats = rt.run_phased(&[vec![0, 1, 2], vec![3, 4]], count);
+        assert_eq!(stats.total_fired, 5);
+        assert_eq!(fired.load(Ordering::Relaxed), 29);
+    }
+
+    /// Back-to-back runs reuse the pool's threads: no run fires on more
+    /// than `workers` threads, and all runs together on no more helper
+    /// threads than the pool holds.
+    #[test]
+    fn helpers_are_reused_across_runs() {
+        let g = layered_graph(4, 16);
+        let seeds = g.initial_ready();
+        let rt = Runtime::with_workers(2);
+        let caller = std::thread::current().id();
+        let mut helpers = std::collections::HashSet::new();
+        for _ in 0..200 {
+            let threads = Mutex::new(std::collections::HashSet::new());
+            let stats = rt.run_partial(&g, PoolDiscipline::Lifo, &seeds, g.len(), |_| {
+                threads.lock().insert(std::thread::current().id());
+            });
+            assert_eq!(stats.total_fired, 64);
+            assert_eq!(stats.fired_per_worker.len(), 2);
+            let threads = threads.into_inner();
+            assert!(
+                threads.len() <= 2,
+                "one run fired on {} threads",
+                threads.len()
+            );
+            helpers.extend(threads.into_iter().filter(|&t| t != caller));
+        }
+        let pool = HELPERS.lock().len();
+        assert!(pool >= 1, "a 2-worker run starts the pool");
+        assert!(
+            helpers.len() <= pool,
+            "{} helper threads fired across runs, pool holds {pool}",
+            helpers.len()
+        );
+    }
+
+    /// A poisoned run leaves its helpers alive and free: the next run on
+    /// the same runtime fires every codelet exactly once.
+    #[test]
+    fn poisoned_run_leaves_the_pool_usable() {
+        let g = layered_graph(3, 16);
+        let seeds = g.initial_ready();
+        for workers in [1, 3] {
+            let rt = Runtime::with_workers(workers);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                rt.run_partial(&g, PoolDiscipline::WorkSteal, &seeds, g.len(), |id| {
+                    if id == 5 {
+                        panic!("boom");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            let counts: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
+            let stats = rt.run_partial(&g, PoolDiscipline::WorkSteal, &seeds, g.len(), |id| {
+                counts[id].fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(stats.total_fired, 48, "workers={workers}");
+            assert!(
+                counts.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// A body that itself runs a program must not wait for helpers that
+    /// are busy with the run it is part of.
+    #[test]
+    fn nested_run_partial_completes() {
+        let outer = layered_graph(2, 8);
+        let inner = layered_graph(3, 4);
+        let inner_seeds = inner.initial_ready();
+        let rt = Runtime::with_workers(2);
+        let fired = AtomicU32::new(0);
+        let stats = rt.run(&outer, PoolDiscipline::Lifo, |_| {
+            let stats = rt.run_partial(&inner, PoolDiscipline::Fifo, &inner_seeds, 12, |_| {
+                fired.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(stats.total_fired, 12);
+        });
+        assert_eq!(stats.total_fired, 16);
+        assert_eq!(fired.load(Ordering::Relaxed), 16 * 12);
     }
 
     #[test]

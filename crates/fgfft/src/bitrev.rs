@@ -4,7 +4,7 @@
 //! hardware bit-reverse instruction, which is why the paper picked it).
 
 use crate::complex::Complex64;
-use std::thread;
+use codelet::Runtime;
 
 /// Reverse the low `bits` bits of `x`.
 #[inline]
@@ -34,10 +34,11 @@ pub fn bit_reverse_permute<T>(data: &mut [T]) {
 /// Parallel in-place bit-reversal permutation, as the paper's
 /// "`Bit_reversal(D)` in parallel" first step.
 ///
-/// Index range is partitioned into contiguous chunks; the worker owning the
-/// chunk of `i` performs the `(i, rev(i))` swap iff `i < rev(i)`, so every
-/// pair is swapped by exactly one worker and no element is touched twice —
-/// which is what makes the disjoint `&mut` access below sound.
+/// The index range is partitioned into contiguous parts, run as one
+/// [`Runtime::run_phased`] phase on `workers` workers; the part holding `i`
+/// performs the `(i, rev(i))` swap iff `i < rev(i)`, so every pair is
+/// swapped by exactly one part and no element is touched twice — which is
+/// what makes the disjoint `&mut` access below sound.
 pub fn bit_reverse_permute_parallel(data: &mut [Complex64], workers: usize) {
     let n = data.len();
     if n <= 2 || workers <= 1 {
@@ -46,31 +47,19 @@ pub fn bit_reverse_permute_parallel(data: &mut [Complex64], workers: usize) {
     }
     assert!(n.is_power_of_two(), "length must be a power of two");
     let bits = n.trailing_zeros();
-    let workers = workers.min(n);
-    let chunk = n.div_ceil(workers);
     let shared = SharedComplexSlice::new(data);
-    thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            scope.spawn(move || {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                for i in lo..hi {
-                    let j = bit_reverse(i, bits);
-                    if i < j {
-                        // SAFETY: the (i, j) pair with i < j is visited by
-                        // exactly one worker (the owner of i's chunk); the
-                        // mirrored pair (j, i) is skipped by the j-chunk
-                        // owner because rev(j) = i < j. Hence exclusive
-                        // access to both elements.
-                        unsafe {
-                            let a = shared.get(i);
-                            let b = shared.get(j);
-                            std::ptr::swap(a, b);
-                        }
-                    }
+    run_parts(n, workers, |lo, hi| {
+        for i in lo..hi {
+            let j = bit_reverse(i, bits);
+            if i < j {
+                // SAFETY: the (i, j) pair with i < j is visited by exactly
+                // one part (the owner of i); the mirrored pair (j, i) is
+                // skipped by the owner of j because rev(j) = i < j. Hence
+                // exclusive access to both elements.
+                unsafe {
+                    std::ptr::swap(shared.get(i), shared.get(j));
                 }
-            });
+            }
         }
     });
 }
@@ -104,37 +93,44 @@ pub fn apply_swaps<T>(data: &mut [T], swaps: &[(u32, u32)]) {
     }
 }
 
-/// Apply a precomputed transposition list with `workers` threads. Sound for
+/// Apply a precomputed transposition list on `workers` workers. Sound for
 /// any list of pairwise-disjoint transpositions (which
 /// [`bit_reverse_swaps`] produces): partitioning the *list* partitions the
-/// touched elements, so no two workers access the same element.
+/// touched elements, so no two parts access the same element.
 pub fn apply_swaps_parallel(data: &mut [Complex64], swaps: &[(u32, u32)], workers: usize) {
     if workers <= 1 || swaps.len() < 1024 {
         apply_swaps(data, swaps);
         return;
     }
-    let workers = workers.min(swaps.len());
-    let chunk = swaps.len().div_ceil(workers);
     let shared = SharedComplexSlice::new(data);
-    thread::scope(|scope| {
-        for part in swaps.chunks(chunk) {
-            let shared = &shared;
-            scope.spawn(move || {
-                for &(i, j) in part {
-                    // SAFETY: transpositions are pairwise disjoint and the
-                    // list is partitioned across workers, so this worker has
-                    // exclusive access to elements i and j.
-                    unsafe {
-                        std::ptr::swap(shared.get(i as usize), shared.get(j as usize));
-                    }
-                }
-            });
+    run_parts(swaps.len(), workers, |lo, hi| {
+        for &(i, j) in &swaps[lo..hi] {
+            // SAFETY: transpositions are pairwise disjoint and the list is
+            // partitioned across parts, so this part has exclusive access
+            // to elements i and j.
+            unsafe {
+                std::ptr::swap(shared.get(i as usize), shared.get(j as usize));
+            }
         }
     });
 }
 
+/// Parts dealt per worker by [`run_parts`]: a helper that joins late
+/// leaves its parts to be stolen rather than idling the caller.
+const PARTS_PER_WORKER: usize = 4;
+
+/// Split `0..len` into contiguous parts and run `part(lo, hi)` over them as
+/// one phase on `workers` workers of the codelet runtime's helper pool.
+fn run_parts(len: usize, workers: usize, part: impl Fn(usize, usize) + Sync) {
+    let size = len.div_ceil(workers * PARTS_PER_WORKER);
+    let parts: Vec<usize> = (0..len.div_ceil(size)).collect();
+    Runtime::with_workers(workers).run_phased(&[parts], |p| {
+        part(p * size, ((p + 1) * size).min(len));
+    });
+}
+
 /// Minimal shared-mutable slice used by the parallel permutation. The
-/// invariant (each index touched by exactly one worker) is established by
+/// invariant (each index touched by exactly one part) is established by
 /// the caller.
 struct SharedComplexSlice {
     ptr: *mut Complex64,
@@ -142,7 +138,7 @@ struct SharedComplexSlice {
 }
 
 // SAFETY: access discipline is enforced by callers (disjoint index sets per
-// thread); the raw pointer itself is freely sendable.
+// part); the raw pointer itself is freely sendable.
 unsafe impl Sync for SharedComplexSlice {}
 
 impl SharedComplexSlice {

@@ -780,10 +780,10 @@ impl Plan {
     }
 
     /// In-place forward transform of a whole **batch** of same-plan buffers
-    /// through one runtime dispatch per schedule phase: worker-scope setup
-    /// and dependence-counter allocation are paid once for the batch, not
-    /// once per request. Every buffer receives exactly the result
-    /// [`Plan::execute`] would produce.
+    /// through one runtime dispatch per schedule phase: the handoff to the
+    /// runtime's helper pool and dependence-counter allocation are paid
+    /// once for the batch, not once per request. Every buffer receives
+    /// exactly the result [`Plan::execute`] would produce.
     pub fn execute_batch(&self, buffers: &mut [&mut [Complex64]], runtime: &Runtime) -> ExecStats {
         self.execute_batch_with(&ScalarKernel, Dispatch::Planned, buffers, runtime)
     }
@@ -884,7 +884,7 @@ impl Plan {
     /// `copies` stacked copies of the inner FFT (copy `k`'s ids offset by
     /// `k · total_codelets`). One copy runs the unwrapped phase lists and
     /// CSR programs; more copies run each phase or slice of every copy as
-    /// one runtime call, so worker start-up is paid once per batch.
+    /// one runtime call, so the helper handoff is paid once per batch.
     fn dispatch(
         &self,
         dispatch: Dispatch,
@@ -945,7 +945,8 @@ impl Plan {
                 late_expected,
             } => {
                 let rs1 = run_slice(runtime, early, early_seeds, *early_expected, copies, &body);
-                // The join of the early slice's worker scope is the barrier.
+                // The early run's return, after every helper that joined it
+                // has left, is the barrier.
                 let rs2 = run_slice(runtime, late, late_seeds, *late_expected, copies, body);
                 stats.barriers = 1;
                 stats.codelets = rs1.total_fired + rs2.total_fired;

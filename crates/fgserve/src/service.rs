@@ -31,8 +31,9 @@
 //!   allocation either.
 //! * **Batching amortizes scheduling.** Requests for the same transform
 //!   size drained together execute as one batched codelet program
-//!   ([`fgfft::Plan::execute_batch`]): one worker-scope spawn and one set of
-//!   dependence counters for the whole batch. Results are bit-identical to
+//!   ([`fgfft::Plan::execute_batch`]): one runtime dispatch to the codelet
+//!   runtime's helper pool and one set of dependence counters for the
+//!   whole batch. Results are bit-identical to
 //!   serving each request alone — the codelet DAG fixes the arithmetic.
 //! * **Every admitted ticket completes.** The paper's model assumes every
 //!   enabled codelet eventually fires; the serving layer restores that

@@ -177,3 +177,39 @@ fn deep_chain_does_not_stack_overflow_or_deadlock() {
     });
     assert_eq!(stats.total_fired as usize, n);
 }
+
+/// Many callers share one helper pool: 8 threads × 100 runs each of
+/// `run_partial` and `run_phased` on one 4-worker runtime. Helpers busy
+/// with one caller's run never join another's, so each run must finish
+/// with whoever shows up; every codelet fires exactly once and no run
+/// waits on another.
+#[test]
+fn concurrent_callers_share_the_helper_pool() {
+    let g = random_dag(7, 6, 24);
+    let seeds = g.initial_ready();
+    let phases: Vec<Vec<usize>> = (0..6).map(|l| (l * 24..(l + 1) * 24).collect()).collect();
+    let rt = Runtime::new(RuntimeConfig::with_workers(4));
+    std::thread::scope(|scope| {
+        for caller in 0..8 {
+            let (g, seeds, phases, rt) = (&g, &seeds, &phases, &rt);
+            scope.spawn(move || {
+                let counts: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
+                for run in 0..100 {
+                    let stats = rt.run_partial(g, PoolDiscipline::Lifo, seeds, g.len(), |id| {
+                        counts[id].fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(stats.total_fired as usize, g.len());
+                    assert_eq!(stats.fired_per_worker.len(), 4);
+                    let stats = rt.run_phased(phases, |id| {
+                        counts[id].fetch_add(1, Ordering::Relaxed);
+                    });
+                    assert_eq!(stats.total_fired as usize, g.len());
+                    assert!(
+                        counts.iter().all(|c| c.swap(0, Ordering::Relaxed) == 2),
+                        "caller {caller} run {run}: a codelet fired other than once per run"
+                    );
+                }
+            });
+        }
+    });
+}
